@@ -397,10 +397,14 @@ func TestIngestIsIdempotent(t *testing.T) {
 }
 
 // TestDemoRejectsPositionalArgs guards against a mistyped subcommand
-// silently running the default demo.
+// silently running the default demo, and checks the error points a
+// would-be `staccato serve` at the server binary.
 func TestDemoRejectsPositionalArgs(t *testing.T) {
 	if err := demoMain(&strings.Builder{}, []string{"serch", "-docs", "5", "e"}); err == nil {
 		t.Error("demo accepted a positional argument (likely a typo'd subcommand)")
+	}
+	if err := demoMain(&strings.Builder{}, []string{"serve"}); err == nil || !strings.Contains(err.Error(), "staccatod") {
+		t.Errorf("demo serve: err = %v, want an error naming staccatod", err)
 	}
 }
 

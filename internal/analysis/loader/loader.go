@@ -171,8 +171,9 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 }
 
 // expandPattern adds the module-relative directories pattern names to
-// dirs. testdata trees and hidden directories never match "...", the
-// same exclusions the go tool applies.
+// dirs. testdata trees, hidden directories, and nested modules (any
+// subdirectory with its own go.mod) never match "...", the same
+// exclusions the go tool applies.
 func (l *Loader) expandPattern(pat string, dirs map[string]bool) error {
 	if pat == "all" || pat == "std" {
 		return fmt.Errorf("loader: unsupported pattern %q (use ./... forms)", pat)
@@ -195,6 +196,11 @@ func (l *Loader) expandPattern(pat string, dirs map[string]bool) error {
 			name := d.Name()
 			if p != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
+			}
+			if p != l.modRoot {
+				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			rel, err := filepath.Rel(l.modRoot, p)
 			if err != nil {

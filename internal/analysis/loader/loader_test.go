@@ -57,6 +57,44 @@ func TestLoadSkipsFixtureDirs(t *testing.T) {
 	}
 }
 
+// TestLoadSkipsNestedModules expands ./... over a module that contains
+// a nested module and checks, as the go tool does, that the nested
+// module's packages stay out of the result.
+func TestLoadSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":            "module example.com/outer\n\ngo 1.24\n",
+		"a/a.go":            "package a\n\nconst A = 1\n",
+		"nested/go.mod":     "module example.com/nested\n\ngo 1.24\n",
+		"nested/n.go":       "package nested\n\nconst N = 2\n",
+		"nested/sub/sub.go": "package sub\n\nconst S = 3\n",
+	}
+	for name, src := range files {
+		p := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := New(root)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.RelPath)
+	}
+	if len(got) != 1 || got[0] != "a" {
+		t.Errorf("Load(./...) = %v, want only [a] (nested module skipped)", got)
+	}
+}
+
 // TestLoadDirStdlibOnly checks the bare loader used by analysistest:
 // no module context, stdlib imports typechecked from source.
 func TestLoadDirStdlibOnly(t *testing.T) {

@@ -93,7 +93,7 @@ func (l *Lexicon) Rescorer(boost float64) func(*staccato.Doc) *staccato.Doc {
 			alts := make([]staccato.Alt, len(ch.Alts))
 			var sum float64
 			for ai, alt := range ch.Alts {
-				w := alt.Prob * l.tokenBoost(alt.Text, boost)
+				w := float64(alt.Prob * l.tokenBoost(alt.Text, boost)) // explicit rounding: no fused multiply-add into sum
 				alts[ai] = staccato.Alt{Text: alt.Text, Prob: w}
 				sum += w
 			}

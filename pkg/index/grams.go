@@ -143,7 +143,7 @@ func DocGramBounds(doc *staccato.Doc, q int) ([]string, []float64, bool) {
 		for _, tail := range tails {
 			tailMass := suffixes[tail]
 			for _, alt := range alts {
-				w := tailMass * alt.Prob
+				w := float64(tailMass * alt.Prob) // explicit rounding: no fused multiply-add into mass/next
 				runes := []rune(tail + alt.Text)
 				clear(window)
 				for i := 0; i+q <= len(runes); i++ {

@@ -14,19 +14,6 @@ import (
 	"github.com/paper-repo/staccato-go/pkg/store"
 )
 
-// plainStore hides MemStore's optional capabilities behind the bare
-// DocStore interface, forcing the engine onto its fallback paths.
-type plainStore struct{ inner *store.MemStore }
-
-func (p plainStore) Put(ctx context.Context, doc *staccato.Doc) error { return p.inner.Put(ctx, doc) }
-func (p plainStore) Get(ctx context.Context, id string) (*staccato.Doc, error) {
-	return p.inner.Get(ctx, id)
-}
-func (p plainStore) Delete(ctx context.Context, id string) error { return p.inner.Delete(ctx, id) }
-func (p plainStore) Scan(ctx context.Context, fn func(doc *staccato.Doc) error) error {
-	return p.inner.Scan(ctx, fn)
-}
-
 // candidateCorpus builds a MemStore + matching index + truth list.
 func candidateCorpus(t *testing.T, n int, seed int64) (*store.MemStore, *index.Index, []string) {
 	t.Helper()
@@ -48,11 +35,11 @@ func candidateCorpus(t *testing.T, n int, seed int64) (*store.MemStore, *index.I
 	return st, ix, truths
 }
 
-// TestSearchCandidatesByteIdenticalToSearch is the tentpole's engine
-// contract: for random boolean queries whose plans prune,
-// SearchCandidates returns byte-identical output to both the full-scan
-// and the pruned-scan Search paths, at 1, 2, and 8 workers, with and
-// without the store's BatchGetter capability.
+// TestSearchCandidatesByteIdenticalToSearch is the engine's restricted
+// execution contract: for random boolean queries whose plans prune,
+// SearchCandidates — single-pass at TopN 0, bound-ordered top-k rounds
+// otherwise — returns byte-identical output to the full-scan Search and
+// to Search handed the same candidate set, at 1, 2, and 8 workers.
 func TestSearchCandidatesByteIdenticalToSearch(t *testing.T) {
 	ctx := context.Background()
 	st, ix, truths := candidateCorpus(t, 60, 71)
@@ -72,9 +59,9 @@ func TestSearchCandidatesByteIdenticalToSearch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prunedOpts := opts
-			prunedOpts.Candidates = cand
-			prunedScan, err := eng.Search(ctx, q, prunedOpts)
+			restrictedOpts := opts
+			restrictedOpts.Candidates = cand
+			restricted, err := eng.Search(ctx, q, restrictedOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,27 +72,23 @@ func TestSearchCandidatesByteIdenticalToSearch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(candOnly, fullScan) || !reflect.DeepEqual(candOnly, prunedScan) {
-				t.Fatalf("trial %d workers %d: query %s: modes disagree\n full:   %+v\n pruned: %+v\n cand:   %+v",
-					trial, workers, q.String(), fullScan, prunedScan, candOnly)
+			if !reflect.DeepEqual(candOnly, fullScan) || !reflect.DeepEqual(candOnly, restricted) {
+				t.Fatalf("trial %d workers %d: query %s: modes disagree\n full:       %+v\n restricted: %+v\n cand:       %+v",
+					trial, workers, q.String(), fullScan, restricted, candOnly)
 			}
-			if stats.Mode != query.ExecCandidateOnly {
-				t.Fatalf("trial %d: Mode = %q, want %q", trial, stats.Mode, query.ExecCandidateOnly)
+			wantMode := query.ExecCandidateOnly
+			if opts.TopN > 0 {
+				wantMode = query.ExecTopK
 			}
-			if stats.CandidatesFetched != cand.Len() || stats.DocsScanned != cand.Len() {
-				t.Fatalf("trial %d: fetched %d / scanned %d, want %d (no concurrent deletes)",
-					trial, stats.CandidatesFetched, stats.DocsScanned, cand.Len())
+			if stats.Mode != wantMode {
+				t.Fatalf("trial %d: Mode = %q, want %q", trial, stats.Mode, wantMode)
 			}
-
-			// The per-ID Get fallback must agree too.
-			plainEng := query.NewEngine(plainStore{inner: st}, query.EngineOptions{Workers: workers})
-			viaGet, err := plainEng.SearchCandidates(ctx, q, cand, opts)
-			if err != nil {
-				t.Fatal(err)
+			if stats.CandidatesFetched+stats.BoundsSkipped != cand.Len() || stats.DocsScanned != stats.CandidatesFetched {
+				t.Fatalf("trial %d: fetched %d + skipped %d / scanned %d, want %d (no concurrent deletes)",
+					trial, stats.CandidatesFetched, stats.BoundsSkipped, stats.DocsScanned, cand.Len())
 			}
-			if !reflect.DeepEqual(viaGet, candOnly) {
-				t.Fatalf("trial %d: Get-fallback results differ from BatchGetter results\n get:   %+v\n batch: %+v",
-					trial, viaGet, candOnly)
+			if wantMode == query.ExecCandidateOnly && (stats.BoundsSkipped != 0 || stats.EarlyStopped) {
+				t.Fatalf("trial %d: top-k counters in a single-pass run: %+v", trial, stats)
 			}
 		}
 	}
@@ -142,29 +125,27 @@ func TestSearchCandidatesSkipsDeletedCandidate(t *testing.T) {
 	if err := st.Delete(ctx, ids[7]); err != nil {
 		t.Fatal(err)
 	}
-	for _, victim := range []store.DocStore{st, plainStore{inner: st}} {
-		eng := query.NewEngine(victim, query.EngineOptions{Workers: 2})
-		var stats query.SearchStats
-		res, err := eng.SearchCandidates(ctx, q, cand, query.SearchOptions{Stats: &stats})
-		if err != nil {
-			t.Fatal(err)
+	eng := query.NewEngine(st, query.EngineOptions{Workers: 2})
+	var stats query.SearchStats
+	res, err := eng.SearchCandidates(ctx, q, cand, query.SearchOptions{Stats: &stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if r.DocID == ids[7] {
+			t.Fatalf("deleted doc %s still in results %+v", ids[7], res)
 		}
-		for _, r := range res {
-			if r.DocID == ids[7] {
-				t.Fatalf("deleted doc %s still in results %+v", ids[7], res)
-			}
-		}
-		if stats.CandidatesFetched != cand.Len() {
-			t.Fatalf("CandidatesFetched = %d, want %d (every candidate is a fetch attempt)",
-				stats.CandidatesFetched, cand.Len())
-		}
-		if stats.DocsScanned != cand.Len()-1 {
-			t.Fatalf("DocsScanned = %d, want %d (the deleted candidate is not evaluated)",
-				stats.DocsScanned, cand.Len()-1)
-		}
-		if stats.CandidatesDeleted != 1 {
-			t.Fatalf("CandidatesDeleted = %d, want 1", stats.CandidatesDeleted)
-		}
+	}
+	if stats.CandidatesFetched != cand.Len() {
+		t.Fatalf("CandidatesFetched = %d, want %d (every candidate is a fetch attempt)",
+			stats.CandidatesFetched, cand.Len())
+	}
+	if stats.DocsScanned != cand.Len()-1 {
+		t.Fatalf("DocsScanned = %d, want %d (the deleted candidate is not evaluated)",
+			stats.DocsScanned, cand.Len()-1)
+	}
+	if stats.CandidatesDeleted != 1 {
+		t.Fatalf("CandidatesDeleted = %d, want 1", stats.CandidatesDeleted)
 	}
 }
 
@@ -200,6 +181,12 @@ func (f failingGetStore) Delete(ctx context.Context, id string) error {
 }
 func (f failingGetStore) Scan(ctx context.Context, fn func(doc *staccato.Doc) error) error {
 	return errors.New("store scan on a path that promised none")
+}
+func (f failingGetStore) ListDocIDs(ctx context.Context) ([]string, error) {
+	return nil, errors.New("store listing on a path that promised none")
+}
+func (f failingGetStore) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error) {
+	return nil, errors.New("store read on a path that promised none")
 }
 
 // TestSearchCandidatesValidation: nil query and nil candidate set are
@@ -240,7 +227,9 @@ func TestSearchCandidatesReadErrorPropagates(t *testing.T) {
 }
 
 // TestSearchCandidatesCancelledContext: a pre-cancelled context aborts
-// the run with the context's error.
+// the run with the context's error — in the single-pass and top-k modes
+// alike, and even when the candidate set is empty, so a request past its
+// deadline fails the same way whatever the plan proved.
 func TestSearchCandidatesCancelledContext(t *testing.T) {
 	st, ix, truths := candidateCorpus(t, 20, 97)
 	q := mustQ(query.Substring(truths[0][0:6]))
@@ -251,7 +240,11 @@ func TestSearchCandidatesCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	eng := query.NewEngine(st, query.EngineOptions{Workers: 2})
-	if _, err := eng.SearchCandidates(ctx, q, cand, query.SearchOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, set := range []*query.CandidateSet{cand, query.NewCandidateSet()} {
+		for _, topN := range []int{0, 5} {
+			if _, err := eng.SearchCandidates(ctx, q, set, query.SearchOptions{TopN: topN}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%d candidates, TopN %d: err = %v, want context.Canceled", set.Len(), topN, err)
+			}
+		}
 	}
 }

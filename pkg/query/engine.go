@@ -27,17 +27,11 @@ const (
 	// ExecScan is the unrestricted path: every live document is read,
 	// decoded, and evaluated.
 	ExecScan ExecMode = "scan"
-	// ExecPrunedScan is ForEach's restricted path: the corpus ID list is
-	// still walked in full (the every-doc streaming contract needs a
-	// Result per document), but documents outside the candidate set are
-	// reported at probability zero without being read or evaluated.
-	ExecPrunedScan ExecMode = "pruned-scan"
-	// ExecCandidateOnly is Search's restricted path: only the candidate
-	// set's members are ever touched — no corpus ID listing, no
-	// zero-result synthesis — so cost scales with the candidate count,
-	// not the corpus size.
+	// ExecCandidateOnly is the restricted single-pass path: only the
+	// candidate set's members are ever touched — no corpus ID listing —
+	// so cost scales with the candidate count, not the corpus size.
 	ExecCandidateOnly ExecMode = "candidate-only"
-	// ExecTopK is SearchTopK's path: candidates are processed
+	// ExecTopK is the restricted ranked path: candidates are processed
 	// best-bound-first in growing rounds and the run stops as soon as the
 	// running k-th result provably beats every remaining bound, so cost
 	// scales with how discriminating the bounds are, not the candidate
@@ -49,7 +43,7 @@ const (
 // planner pruned away versus how much the DP actually evaluated. The
 // engine fills Mode and the Docs*/CandidatesFetched counters; callers
 // that planned the query (such as staccatodb.DB) fill the planner
-// fields — and, for candidate-only runs, the corpus-level DocsTotal and
+// fields — and, for candidate runs, the corpus-level DocsTotal and
 // DocsPruned the engine never observes.
 // The JSON form is the wire shape of the staccatod search and explain
 // endpoints.
@@ -57,19 +51,19 @@ type SearchStats struct {
 	// Mode is the execution path the run took.
 	Mode ExecMode `json:"mode"`
 	// DocsTotal is the number of live documents the run considered —
-	// pruned and evaluated alike. In candidate-only mode the engine
-	// never sees the corpus, so it leaves DocsTotal zero; staccatodb.DB
-	// fills it from the store's live-document count.
+	// pruned and evaluated alike. A candidate run never sees the corpus,
+	// so the engine leaves DocsTotal zero; staccatodb.DB fills it from
+	// the store's live-document count.
 	DocsTotal int `json:"docs_total"`
 	// DocsScanned is the number of documents the DP actually evaluated.
 	DocsScanned int `json:"docs_scanned"`
 	// DocsPruned is the number of documents skipped via the candidate set
-	// without being evaluated. Filled by the caller in candidate-only
-	// mode, like DocsTotal.
+	// without being evaluated. Filled by the caller in candidate runs,
+	// like DocsTotal.
 	DocsPruned int `json:"docs_pruned"`
 	// CandidatesFetched is the number of store fetches the candidate
-	// modes attempted (zero in the scan modes) — deleted candidates that
-	// came back not-found included, so it can exceed DocsScanned. It runs
+	// modes attempted (zero in scan mode) — deleted candidates that came
+	// back not-found included, so it can exceed DocsScanned. It runs
 	// below the candidate set's size only when top-k early termination
 	// skipped the rest (see BoundsSkipped).
 	CandidatesFetched int `json:"candidates_fetched"`
@@ -99,18 +93,18 @@ type EngineOptions struct {
 	Workers int
 }
 
-// Engine executes compiled Queries against every document in a DocStore.
-// Documents stream out of the store, fan out to a fixed worker pool for
-// evaluation, and results are re-sequenced into scan order, so every run
-// over an unchanged store is deterministic regardless of worker count.
-// An Engine is stateless apart from its configuration and may be shared
-// across goroutines.
+// Engine executes compiled Queries against the documents of a DocStore.
+// Every run goes through one batched core: documents travel in batches
+// of up to candidateBatchSize — IDs the worker fetches with
+// DocStore.GetBatch, or documents DocStore.Scan already decoded — across
+// a fixed worker pool, and the results are ranked (or, for ForEach,
+// delivered in ID order) afterwards, so every run over an unchanged store
+// is deterministic regardless of worker count. An Engine is stateless
+// apart from its configuration and may be shared across goroutines.
 //
-// When a candidate set from a Plan restricts a run, documents outside the
-// set are reported with probability zero without being evaluated — and,
-// when the store implements store.IDLister, without even being read from
-// the store. The no-false-negative planner contract makes the two
-// execution paths byte-identical.
+// When a candidate set from a Plan restricts a run, only its members are
+// fetched and evaluated; the no-false-negative planner contract makes
+// the restricted and unrestricted runs byte-identical.
 type Engine struct {
 	st      store.DocStore
 	workers int
@@ -161,29 +155,46 @@ type SearchOptions struct {
 // deterministic: the same store contents and query produce identical
 // results at any worker count, with or without a candidate set.
 //
-// Search walks the corpus even when opts.Candidates restricts it (the
-// pruned-scan path: non-candidates cost a set lookup each, never a read
-// or an evaluation). When the candidate set is already in hand and the
-// corpus walk itself is the cost worth avoiding, use SearchCandidates —
-// its output is byte-identical.
+// Without opts.Candidates, Search reads the corpus through DocStore.Scan
+// and reports ExecScan. With it, Search is SearchCandidates over that set.
 func (e *Engine) Search(ctx context.Context, q *Query, opts SearchOptions) ([]Result, error) {
-	var out []Result
-	err := e.forEachPruned(ctx, q, opts.Candidates, opts.Stats, opts.Rescore, func(r Result) error {
-		if r.Prob <= 0 || r.Prob < opts.MinProb {
-			return nil
+	if opts.Candidates != nil {
+		return e.SearchCandidates(ctx, q, opts.Candidates, opts)
+	}
+	if q == nil || q.expr == nil {
+		return nil, errors.New("query: Search requires a compiled, non-nil Query")
+	}
+	t := tally{minProb: opts.MinProb}
+	err := e.evalBatches(ctx, q, opts.Rescore, e.workers, func(ctx context.Context, send func(*batch) error) error {
+		b := &batch{}
+		err := e.st.Scan(ctx, func(d *staccato.Doc) error {
+			b.docs = append(b.docs, d)
+			if len(b.docs) < candidateBatchSize {
+				return nil
+			}
+			full := b
+			b = &batch{}
+			return send(full)
+		})
+		if err != nil || len(b.docs) == 0 {
+			return err
 		}
-		out = append(out, r)
-		return nil
-	})
+		return send(b)
+	}, t.add)
 	if err != nil {
 		return nil, err
 	}
-	return rankResults(out, opts.TopN), nil
+	if opts.Stats != nil {
+		opts.Stats.Mode = ExecScan
+		opts.Stats.DocsTotal = t.evaluated
+		opts.Stats.DocsScanned = t.evaluated
+	}
+	return rankResults(t.out, opts.TopN), nil
 }
 
 // rankResults orders matches by descending probability (ties by
-// ascending DocID) and applies the TopN cut — the one ranking both
-// Search paths share, which is what makes their outputs byte-identical.
+// ascending DocID) and applies the TopN cut — the one ranking every
+// Search path shares, which is what makes their outputs byte-identical.
 func rankResults(out []Result, topN int) []Result {
 	slices.SortFunc(out, func(a, b Result) int {
 		//lint:allow floateq sort comparators need exact comparison — an epsilon tie-break is not a strict weak order and would make the ranking itself nondeterministic
@@ -201,49 +212,12 @@ func rankResults(out []Result, topN int) []Result {
 	return out
 }
 
-// candidateBatchSize is how many candidate IDs one SearchCandidates
-// worker job carries. Batching amortizes store locking and — through
-// store.BatchGetter — lets a disk backend sort the batch by record
-// offset into a near-sequential read; the size is small enough that a
-// handful of candidates still spreads across the pool.
+// candidateBatchSize is how many documents one worker job carries.
+// Batching amortizes store locking and channel hand-offs and lets a disk
+// backend sort a GetBatch by record offset into a near-sequential read;
+// the size is small enough that a handful of candidates still spreads
+// across the pool.
 const candidateBatchSize = 64
-
-// SearchCandidates evaluates q against exactly the members of cand and
-// returns the matches ranked, filtered, and truncated exactly like
-// Search. cand must come from a Plan (or otherwise honor the
-// no-false-negative contract): because every document outside a plan's
-// candidate set has match probability zero and Search discards zero
-// results, SearchCandidates' output is byte-identical to Search's at
-// any worker count — while its cost scales with cand.Len(), not the
-// corpus size. No corpus ID list is materialized and no zero results
-// are synthesized; candidates are fetched by point lookup, batched
-// through store.BatchGetter when the store implements it. A candidate
-// deleted between planning and fetching is skipped, matching what a
-// scan started after the delete would return. opts.Candidates is
-// ignored (cand is the candidate set); opts.Stats, when non-nil,
-// receives Mode, DocsScanned, and CandidatesFetched — corpus-level
-// counters (DocsTotal, DocsPruned) are the caller's to fill, since the
-// whole point is that the engine never observes the corpus.
-func (e *Engine) SearchCandidates(ctx context.Context, q *Query, cand *CandidateSet, opts SearchOptions) ([]Result, error) {
-	if q == nil || q.expr == nil {
-		return nil, errors.New("query: SearchCandidates requires a compiled, non-nil Query")
-	}
-	if cand == nil {
-		return nil, errors.New("query: SearchCandidates requires a non-nil candidate set; use Search for unrestricted runs")
-	}
-	ids := cand.IDs() // ascending: deterministic batching, near-sequential disk reads
-	out, fetched, evaluated, err := e.evalCandidates(ctx, q, ids, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Stats != nil {
-		opts.Stats.Mode = ExecCandidateOnly
-		opts.Stats.DocsScanned = evaluated
-		opts.Stats.CandidatesFetched = fetched
-		opts.Stats.CandidatesDeleted = fetched - evaluated
-	}
-	return rankResults(out, opts.TopN), nil
-}
 
 // boundSlack widens stored bounds by one part in 10⁹ wherever the engine
 // compares an evaluated probability against one. The bound DP and the
@@ -253,474 +227,336 @@ func (e *Engine) SearchCandidates(ctx context.Context, q *Query, cand *Candidate
 // skip decision provably safe without giving up meaningful pruning.
 const boundSlack = 1 + 1e-9
 
-// SearchTopK evaluates q against the members of cand best-bound-first and
-// stops as soon as the running opts.TopN-th probability strictly beats
-// every remaining candidate's (slack-widened) upper bound — at which
-// point no remaining candidate can enter the top N or win a tie (ties
-// break toward ascending DocID, and a tie would require probability equal
-// to the k-th, which the strict inequality excludes). Results are
-// byte-identical to Search and SearchCandidates with the same options, at
-// any worker count: candidates are processed in rounds of fixed,
-// worker-independent sizes (candidateBatchSize, doubling each round), so
-// the stats are deterministic too.
+// SearchCandidates evaluates q against the members of cand and returns
+// the matches ranked, filtered, and truncated exactly like Search. cand
+// must come from a Plan (or otherwise honor the no-false-negative
+// contract): every document outside it has match probability zero and
+// Search discards zero results, so the output is byte-identical to an
+// unrestricted Search at any worker count — while cost scales with
+// cand.Len(), not the corpus size. Candidates are fetched with
+// DocStore.GetBatch; one deleted between planning and fetching is
+// skipped, matching what a scan started after the delete would return.
+// opts.Candidates is ignored (cand is the candidate set).
 //
-// cand must honor the no-false-negative contract AND its bounds must be
-// admissible (never below the true match probability of stored
-// documents); both come free from Plan.Candidates over a
-// BoundedPostingSource. A set without bound information still returns
-// correct results — every bound reads as 1 — it just never stops early.
+// With opts.TopN > 0 and no opts.Rescore the run is ranked (ExecTopK):
+// candidates are processed best-bound-first in rounds of fixed,
+// worker-independent sizes (candidateBatchSize, doubling each round), and
+// the run stops as soon as the running TopN-th probability strictly beats
+// every remaining candidate's slack-widened upper bound — at which point
+// no remaining candidate can enter the top N or win a tie (ties break
+// toward ascending DocID, and a tie would require probability equal to
+// the k-th, which the strict inequality excludes). Candidates whose
+// widened bound falls below opts.MinProb are skipped without a fetch,
+// like the early-stopped tail; both are counted in Stats.BoundsSkipped.
+// The bounds must be admissible (never below the true match probability
+// of stored documents), which Plan.Candidates over a BoundedPostingSource
+// guarantees; a set without bounds reads every bound as 1 and never
+// stops early. A rescorer moves probability mass the bounds do not
+// account for, so a rescored run — like any run with TopN == 0 — makes
+// one pass over every candidate (ExecCandidateOnly).
 //
-// opts.TopN must be positive; opts.Rescore must be nil, because bounds
-// describe the stored documents and rescoring moves probability mass they
-// do not account for (callers fall back to SearchCandidates). Candidates
-// whose widened bound falls below opts.MinProb are skipped without a
-// fetch, like the early-stopped tail; both are counted in
-// Stats.BoundsSkipped.
-func (e *Engine) SearchTopK(ctx context.Context, q *Query, cand *CandidateSet, opts SearchOptions) ([]Result, error) {
+// opts.Stats, when non-nil, receives Mode, DocsScanned, the Candidates*
+// counters, BoundsSkipped, and EarlyStopped — corpus-level counters
+// (DocsTotal, DocsPruned) are the caller's to fill, since the engine
+// never observes the corpus.
+func (e *Engine) SearchCandidates(ctx context.Context, q *Query, cand *CandidateSet, opts SearchOptions) ([]Result, error) {
 	if q == nil || q.expr == nil {
-		return nil, errors.New("query: SearchTopK requires a compiled, non-nil Query")
+		return nil, errors.New("query: SearchCandidates requires a compiled, non-nil Query")
 	}
 	if cand == nil {
-		return nil, errors.New("query: SearchTopK requires a non-nil candidate set; use Search for unrestricted runs")
+		return nil, errors.New("query: SearchCandidates requires a non-nil candidate set; use Search for unrestricted runs")
 	}
-	if opts.TopN <= 0 {
-		return nil, errors.New("query: SearchTopK requires TopN > 0; use SearchCandidates to rank everything")
+	// An expired context fails the run even when no candidate is left to
+	// fetch, so a deadline is reported the same way at any set size.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if opts.Rescore != nil {
-		return nil, errors.New("query: SearchTopK cannot rescore: index bounds do not cover rescored probabilities; use SearchCandidates")
-	}
-	ranked := cand.Ranked()
-	// Candidates whose bound already sits below MinProb cannot produce a
-	// reportable result; ranked is bound-descending, so they form a tail.
-	usable := len(ranked)
-	skipped := 0
-	if opts.MinProb > 0 {
-		usable = sort.Search(len(ranked), func(i int) bool {
-			return ranked[i].Bound*boundSlack < opts.MinProb
-		})
-		skipped = len(ranked) - usable
-	}
-	var (
-		out                []Result
-		fetched, evaluated int
-		earlyStopped       bool
-	)
-	next := 0
-	roundSize := candidateBatchSize
-	for next < usable {
-		end := next + roundSize
-		if end > usable {
-			end = usable
-		}
-		ids := make([]string, 0, end-next)
-		for _, c := range ranked[next:end] {
-			ids = append(ids, c.ID)
-		}
-		sort.Strings(ids) // near-sequential reads; ranking is fetch-order-independent
-		res, f, ev, err := e.evalCandidates(ctx, q, ids, opts)
-		if err != nil {
+	t := tally{minProb: opts.MinProb}
+	mode, skipped, earlyStopped := ExecCandidateOnly, 0, false
+	if opts.TopN <= 0 || opts.Rescore != nil {
+		// Ascending IDs: deterministic batching, near-sequential disk reads.
+		if err := e.evalIDs(ctx, q, cand.IDs(), opts.Rescore, &t); err != nil {
 			return nil, err
 		}
-		out = append(out, res...)
-		fetched += f
-		evaluated += ev
-		next = end
-		roundSize *= 2
-		// Keeping only the running top N between rounds is lossless: the
-		// ranking is a total order, so the global top N is the top N of the
-		// per-round top-N union.
-		out = rankResults(out, opts.TopN)
-		if next < usable && len(out) == opts.TopN && out[opts.TopN-1].Prob > ranked[next].Bound*boundSlack {
-			earlyStopped = true
-			skipped += usable - next
-			break
+	} else {
+		mode = ExecTopK
+		ranked := cand.Ranked()
+		// Candidates whose bound already sits below MinProb cannot produce
+		// a reportable result; ranked is bound-descending, so they form a
+		// tail.
+		usable := len(ranked)
+		if opts.MinProb > 0 {
+			usable = sort.Search(len(ranked), func(i int) bool {
+				return ranked[i].Bound*boundSlack < opts.MinProb
+			})
+		}
+		skipped = len(ranked) - usable
+		for next, size := 0, candidateBatchSize; next < usable; size *= 2 {
+			end := min(next+size, usable)
+			ids := make([]string, 0, end-next)
+			for _, c := range ranked[next:end] {
+				ids = append(ids, c.ID)
+			}
+			sort.Strings(ids) // near-sequential reads; ranking is fetch-order-independent
+			if err := e.evalIDs(ctx, q, ids, nil, &t); err != nil {
+				return nil, err
+			}
+			next = end
+			// Keeping only the running top N between rounds is lossless:
+			// the ranking is a total order, so the global top N is the top
+			// N of the per-round top-N union.
+			t.out = rankResults(t.out, opts.TopN)
+			if next < usable && len(t.out) == opts.TopN && t.out[opts.TopN-1].Prob > ranked[next].Bound*boundSlack {
+				earlyStopped = true
+				skipped += usable - next
+				break
+			}
 		}
 	}
 	if opts.Stats != nil {
-		opts.Stats.Mode = ExecTopK
-		opts.Stats.DocsScanned = evaluated
-		opts.Stats.CandidatesFetched = fetched
-		opts.Stats.CandidatesDeleted = fetched - evaluated
+		opts.Stats.Mode = mode
+		opts.Stats.DocsScanned = t.evaluated
+		opts.Stats.CandidatesFetched = t.fetched
+		opts.Stats.CandidatesDeleted = t.fetched - t.evaluated
 		opts.Stats.BoundsSkipped = skipped
 		opts.Stats.EarlyStopped = earlyStopped
 	}
-	return rankResults(out, opts.TopN), nil
+	return rankResults(t.out, opts.TopN), nil
 }
 
-// evalCandidates fetches and evaluates exactly the documents named by
-// ids, fanning candidateBatchSize batches across the worker pool, and
-// returns the unranked matches that survive the MinProb filter along
-// with the fetch-attempt and evaluation counts. A nil slot from the
-// store (deleted between planning and fetching) counts as fetched but
-// not evaluated.
-func (e *Engine) evalCandidates(ctx context.Context, q *Query, ids []string, opts SearchOptions) (out []Result, fetched, evaluated int, err error) {
+// SearchTopK is SearchCandidates under the name of its ranked path, kept
+// for callers that name the top-k run explicitly.
+func (e *Engine) SearchTopK(ctx context.Context, q *Query, cand *CandidateSet, opts SearchOptions) ([]Result, error) {
+	return e.SearchCandidates(ctx, q, cand, opts)
+}
+
+// forEachBatchesPerWorker is how many batches per worker ForEach fetches
+// and evaluates before delivering them: its window, which bounds how many
+// decoded documents a stream holds at once.
+const forEachBatchesPerWorker = 4
+
+// ForEach evaluates q against every stored document and streams one
+// Result per document — unfiltered, probability zero included — to fn in
+// ascending DocID order. fn runs on the caller's goroutine.
+// Returning store.ErrStopScan from fn ends the stream early without
+// error; any other error ends it and is returned.
+// Cancelling ctx aborts the stream with ctx's error: once cancellation
+// is observed, fn is not called again.
+func (e *Engine) ForEach(ctx context.Context, q *Query, fn func(Result) error) error {
+	return e.ForEachPruned(ctx, q, nil, fn)
+}
+
+// ForEachPruned is ForEach restricted by a candidate set: documents
+// outside cand stream out with probability zero without being read or
+// evaluated. A nil cand evaluates everything, exactly like ForEach.
+//
+// The stream walks DocStore.ListDocIDs in windows of
+// forEachBatchesPerWorker batches per worker: each window's candidates
+// are fetched and evaluated by the batch core, then delivered in ID
+// order, so the documents held at once are bounded by the window, not
+// the corpus. A document deleted between the listing and its fetch is
+// left out. cand is a snapshot: a document added to the store after cand
+// was computed but before this run lists it may stream out at
+// probability zero even if it matches — callers needing a write to be
+// visible must compute the candidate set after the write completes.
+func (e *Engine) ForEachPruned(ctx context.Context, q *Query, cand *CandidateSet, fn func(Result) error) error {
+	if q == nil || q.expr == nil {
+		return errors.New("query: ForEach requires a compiled, non-nil Query")
+	}
+	ids, err := e.st.ListDocIDs(ctx)
+	if err != nil {
+		return err
+	}
+	window := e.workers * forEachBatchesPerWorker * candidateBatchSize
+	for len(ids) > 0 {
+		// Cut the next window: as many listed IDs as it takes to collect
+		// window candidates, or the rest of the list.
+		var fetch []string
+		n := 0
+		for ; n < len(ids) && len(fetch) < window; n++ {
+			if cand.Has(ids[n]) {
+				fetch = append(fetch, ids[n])
+			}
+		}
+		batches := idBatches(fetch)
+		if err := e.evalBatches(ctx, q, nil, len(batches), sendAll(batches), nil); err != nil {
+			return err
+		}
+		k := 0 // position in fetch
+		for _, id := range ids[:n] {
+			r := Result{DocID: id}
+			if cand.Has(id) {
+				b := batches[k/candidateBatchSize]
+				i := k % candidateBatchSize
+				k++
+				if b.docs[i] == nil {
+					continue // deleted between listing and fetching
+				}
+				r.Prob = b.probs[i]
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := fn(r); err != nil {
+				if errors.Is(err, store.ErrStopScan) {
+					return nil
+				}
+				return err
+			}
+		}
+		ids = ids[n:]
+	}
+	return ctx.Err()
+}
+
+// batch is one worker job: up to candidateBatchSize documents, named by
+// ids (the worker fetches them with GetBatch) or already decoded in docs
+// (Scan's batches, which carry no ids). The worker leaves docs aligned
+// with ids — nil where the store no longer has the document — and fills
+// probs, aligned with docs.
+type batch struct {
+	ids   []string
+	docs  []*staccato.Doc
+	probs []float64
+}
+
+// idBatches cuts ids into consecutive batches of candidateBatchSize.
+func idBatches(ids []string) []*batch {
+	out := make([]*batch, 0, (len(ids)+candidateBatchSize-1)/candidateBatchSize)
+	for len(ids) > 0 {
+		n := min(len(ids), candidateBatchSize)
+		out = append(out, &batch{ids: ids[:n]})
+		ids = ids[n:]
+	}
+	return out
+}
+
+// sendAll is the evalBatches feed for batches already in hand.
+func sendAll(batches []*batch) func(context.Context, func(*batch) error) error {
+	return func(_ context.Context, send func(*batch) error) error {
+		for _, b := range batches {
+			if err := send(b); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// evalIDs fetches and evaluates the documents named by ids, adding the
+// matches and counters to t. The pool never starts more workers than
+// there are batches.
+func (e *Engine) evalIDs(ctx context.Context, q *Query, ids []string, rescore func(*staccato.Doc) *staccato.Doc, t *tally) error {
+	batches := idBatches(ids)
+	return e.evalBatches(ctx, q, rescore, len(batches), sendAll(batches), t.add)
+}
+
+// evalBatches is the engine's one evaluation core. feed runs on the
+// calling goroutine and hands batches to send; min(e.workers, maxWorkers)
+// workers fetch each ID batch with GetBatch, evaluate every document
+// (through rescore, when non-nil), and pass the finished batch to done —
+// on the worker's goroutine, so done must be safe for concurrent use; a
+// nil done leaves the results in the batches for the caller. The first
+// failure — a store error, feed's error, or ctx ending — stops the run and
+// is returned once every worker has exited.
+func (e *Engine) evalBatches(ctx context.Context, q *Query, rescore func(*staccato.Doc) *staccato.Doc, maxWorkers int,
+	feed func(ctx context.Context, send func(*batch) error) error, done func(*batch)) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	getter, batched := e.st.(store.BatchGetter)
-	var mu sync.Mutex
-	var firstErr error
-	var errOnce sync.Once
+	var (
+		errOnce  sync.Once
+		firstErr error
+	)
 	fail := func(err error) {
 		errOnce.Do(func() {
 			firstErr = err
 			cancel()
 		})
 	}
-	workers := e.workers
-	if n := (len(ids) + candidateBatchSize - 1) / candidateBatchSize; workers > n {
-		workers = n // never park workers that could have no batch to take
-	}
-	batches := make(chan []string)
+	jobs := make(chan *batch)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for range min(e.workers, maxWorkers) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var local []Result
-			localFetched, localEval := 0, 0
-			for batch := range batches {
-				docs, err := e.fetchCandidates(ctx, getter, batched, batch)
-				if err != nil {
+			for b := range jobs {
+				if err := e.evalBatch(ctx, q, rescore, b); err != nil {
 					fail(err)
 					return
 				}
-				localFetched += len(docs)
-				for _, doc := range docs {
-					if ctx.Err() != nil {
-						return // bound cancellation latency to one evaluation
-					}
-					if doc == nil {
-						continue // deleted between planning and fetching
-					}
-					localEval++
-					if opts.Rescore != nil {
-						doc = opts.Rescore(doc)
-					}
-					p := q.Eval(doc)
-					if p <= 0 || p < opts.MinProb {
-						continue
-					}
-					local = append(local, Result{DocID: doc.ID, Prob: p})
+				if done != nil {
+					done(b)
 				}
 			}
-			mu.Lock()
-			out = append(out, local...)
-			fetched += localFetched
-			evaluated += localEval
-			mu.Unlock()
 		}()
 	}
-feed:
-	for start := 0; start < len(ids); start += candidateBatchSize {
-		end := start + candidateBatchSize
-		if end > len(ids) {
-			end = len(ids)
-		}
+	err := feed(ctx, func(b *batch) error {
 		select {
-		case batches <- ids[start:end]:
+		case jobs <- b:
+			return nil
 		case <-ctx.Done():
-			break feed
+			return ctx.Err()
 		}
+	})
+	if err != nil {
+		fail(err)
 	}
-	close(batches)
+	close(jobs)
 	wg.Wait()
 	if firstErr != nil {
-		return nil, 0, 0, firstErr
+		return firstErr
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-	return out, fetched, evaluated, nil
+	return ctx.Err()
 }
 
-// fetchCandidates reads one batch of candidate documents, through the
-// store's BatchGetter when it has one and by per-ID Get otherwise. The
-// returned slice is aligned with ids; missing documents are nil.
-func (e *Engine) fetchCandidates(ctx context.Context, getter store.BatchGetter, batched bool, ids []string) ([]*staccato.Doc, error) {
-	if batched {
-		return getter.GetBatch(ctx, ids)
-	}
-	out := make([]*staccato.Doc, len(ids))
-	for i, id := range ids {
-		doc, err := e.st.Get(ctx, id)
-		switch {
-		case errors.Is(err, store.ErrNotFound):
-			// skip: the candidate vanished between planning and fetching
-		case err != nil:
-			return nil, err
-		default:
-			out[i] = doc
+// evalBatch fetches b's documents when it carries IDs and evaluates each
+// one, checking ctx between documents to bound cancellation latency to
+// one evaluation.
+func (e *Engine) evalBatch(ctx context.Context, q *Query, rescore func(*staccato.Doc) *staccato.Doc, b *batch) error {
+	if b.ids != nil {
+		docs, err := e.st.GetBatch(ctx, b.ids)
+		if err != nil {
+			return err
 		}
+		b.docs = docs
 	}
-	return out, nil
-}
-
-// ForEach evaluates q against every stored document and streams one
-// Result per document — unfiltered, probability zero included — to fn in
-// ascending DocID (scan) order. fn runs on the caller's goroutine.
-// Returning store.ErrStopScan from fn ends the stream early without
-// error; any other error cancels in-flight work and is returned.
-// Cancelling ctx aborts the stream with ctx's error: once cancellation
-// is observed, fn is not called again.
-func (e *Engine) ForEach(ctx context.Context, q *Query, fn func(Result) error) error {
-	return e.ForEachPruned(ctx, q, nil, nil, fn)
-}
-
-// ForEachPruned is ForEach restricted by a candidate set: documents
-// outside cand stream out with probability zero without being evaluated.
-// A nil cand evaluates everything, exactly like ForEach. stats, when
-// non-nil, receives the run's counters before the call returns. cand is
-// a snapshot: a document added to the store after cand was computed but
-// before this run lists it may stream out at probability zero even if
-// it matches — callers needing a write to be visible must compute the
-// candidate set after the write completes (Search's ranked output is
-// unaffected: it drops zero-probability results, so it matches an
-// execution ordered before such a write).
-func (e *Engine) ForEachPruned(ctx context.Context, q *Query, cand *CandidateSet, stats *SearchStats, fn func(Result) error) error {
-	return e.forEachPruned(ctx, q, cand, stats, nil, fn)
-}
-
-// forEachPruned is ForEachPruned plus the rescore hook Search threads
-// through from SearchOptions.Rescore; a nil rescore evaluates documents
-// as stored.
-func (e *Engine) forEachPruned(ctx context.Context, q *Query, cand *CandidateSet, stats *SearchStats, rescore func(*staccato.Doc) *staccato.Doc, fn func(Result) error) error {
-	if q == nil || q.expr == nil {
-		return errors.New("query: ForEach requires a compiled, non-nil Query")
-	}
-	eval := func(d *staccato.Doc) float64 {
+	b.probs = make([]float64, len(b.docs))
+	for i, doc := range b.docs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if doc == nil {
+			continue // deleted between planning and fetching
+		}
 		if rescore != nil {
-			d = rescore(d)
+			doc = rescore(doc)
 		}
-		return q.Eval(d)
+		b.probs[i] = q.Eval(doc)
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	return nil
+}
 
-	// job is one document's unit of work. Exactly one of doc and id is
-	// set: the Scan feeder carries decoded documents, the IDLister feeder
-	// carries bare IDs and lets the worker read only unpruned documents.
-	type job struct {
-		seq  int
-		doc  *staccato.Doc
-		id   string
-		skip bool // pruned: report zero without evaluating
-	}
-	type seqResult struct {
-		seq       int
-		res       Result
-		evaluated bool
-		dropped   bool // document vanished between listing and read
-	}
-	jobs := make(chan job, e.workers)
-	results := make(chan seqResult, e.workers)
+// tally collects a run's matches and counters from the worker pool: every
+// fetch attempt, every evaluated document, and the results that survive
+// the MinProb filter, unranked.
+type tally struct {
+	minProb            float64
+	mu                 sync.Mutex
+	out                []Result
+	fetched, evaluated int
+}
 
-	// window bounds how many documents may be in flight — scanned but not
-	// yet delivered to fn. Without it, one slow document would let the
-	// feeder run the whole corpus ahead and park O(corpus) results in the
-	// collector's re-sequencing buffer. The feeder acquires a token per
-	// document; the collector releases it on delivery.
-	window := make(chan struct{}, 2*e.workers+2)
-
-	admit := func(j job) error {
-		select {
-		case window <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
+func (t *tally) add(b *batch) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.fetched += len(b.ids)
+	for i, doc := range b.docs {
+		if doc == nil {
+			continue
 		}
-		select {
-		case jobs <- j:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
+		t.evaluated++
+		if p := b.probs[i]; p > 0 && p >= t.minProb {
+			t.out = append(t.out, Result{DocID: doc.ID, Prob: p})
 		}
 	}
-
-	// The feeder pulls work out of the store in ID order, stamping each
-	// document with its sequence number so order can be restored after the
-	// pool. With a candidate set and an ID-listing store, pruned documents
-	// never enter the pipeline at all: the ID list is snapshotted up
-	// front, only candidates become worker jobs, and the collector
-	// synthesizes the zero results for the gaps — the planner's speedup
-	// comes from skipping the pruned documents' read, decode, evaluation,
-	// AND per-document scheduling.
-	var prunedIDs []string // seq -> ID; non-nil only on the listed path
-	if cand != nil {
-		if lister, ok := e.st.(store.IDLister); ok {
-			ids, err := lister.ListDocIDs(ctx)
-			if err != nil {
-				return err
-			}
-			prunedIDs = ids
-		}
-	}
-	var feedWG sync.WaitGroup
-	var feedErr error
-	feedWG.Add(1)
-	go func() {
-		defer feedWG.Done()
-		defer close(jobs)
-		if prunedIDs != nil {
-			for seq, id := range prunedIDs {
-				if !cand.Has(id) {
-					continue // the collector emits the zero result
-				}
-				if err := admit(job{seq: seq, id: id}); err != nil {
-					feedErr = err
-					return
-				}
-			}
-			return
-		}
-		seq := 0
-		feedErr = e.st.Scan(ctx, func(d *staccato.Doc) error {
-			j := job{seq: seq, doc: d, skip: !cand.Has(d.ID)}
-			if err := admit(j); err != nil {
-				return err
-			}
-			seq++
-			return nil
-		})
-	}()
-
-	// Workers: evaluate the shared compiled query, one document at a time.
-	// The first worker failure cancels the run and is reported once.
-	var workerErr error
-	var workerOnce sync.Once
-	fail := func(err error) {
-		workerOnce.Do(func() {
-			workerErr = err
-			cancel()
-		})
-	}
-	var poolWG sync.WaitGroup
-	for i := 0; i < e.workers; i++ {
-		poolWG.Add(1)
-		go func() {
-			defer poolWG.Done()
-			for j := range jobs {
-				r := seqResult{seq: j.seq}
-				switch {
-				case j.skip:
-					id := j.id
-					if j.doc != nil {
-						id = j.doc.ID
-					}
-					r.res = Result{DocID: id}
-				case j.doc != nil:
-					r.res = Result{DocID: j.doc.ID, Prob: eval(j.doc)}
-					r.evaluated = true
-				default:
-					doc, err := e.st.Get(ctx, j.id)
-					switch {
-					case errors.Is(err, store.ErrNotFound):
-						r.res = Result{DocID: j.id}
-						r.dropped = true
-					case err != nil:
-						fail(err)
-						return
-					default:
-						r.res = Result{DocID: doc.ID, Prob: eval(doc)}
-						r.evaluated = true
-					}
-				}
-				select {
-				case results <- r:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		feedWG.Wait()
-		poolWG.Wait()
-		close(results)
-	}()
-
-	// Collector: re-sequence out-of-order completions and deliver them to
-	// fn in scan order, synthesizing the zero results for sequence numbers
-	// the feeder pruned away on the listed path. The window cap bounds
-	// `pending` to the in-flight limit regardless of corpus size or
-	// per-document latency skew.
-	var runStats SearchStats
-	pending := make(map[int]seqResult, e.workers)
-	nextSeq := 0
-	var fnErr error
-	advance := func() {
-		for fnErr == nil && ctx.Err() == nil {
-			if prunedIDs != nil && nextSeq < len(prunedIDs) && !cand.Has(prunedIDs[nextSeq]) {
-				id := prunedIDs[nextSeq]
-				nextSeq++
-				runStats.DocsTotal++
-				runStats.DocsPruned++
-				if err := fn(Result{DocID: id}); err != nil {
-					fnErr = err
-					cancel()
-					return
-				}
-				continue
-			}
-			res, ok := pending[nextSeq]
-			if !ok {
-				return
-			}
-			delete(pending, nextSeq)
-			nextSeq++
-			<-window // delivered: let the feeder admit another document
-			if res.dropped {
-				continue
-			}
-			runStats.DocsTotal++
-			if res.evaluated {
-				runStats.DocsScanned++
-			} else {
-				runStats.DocsPruned++
-			}
-			if err := fn(res.res); err != nil {
-				fnErr = err
-				cancel()
-				return
-			}
-		}
-	}
-	advance() // a corpus whose head (or whole) is pruned yields no results
-	for r := range results {
-		if fnErr != nil || ctx.Err() != nil {
-			continue // draining after failure/stop/cancellation
-		}
-		pending[r.seq] = r
-		advance()
-	}
-	feedWG.Wait() // happens-before for feedErr
-	if stats != nil {
-		stats.Mode = ExecScan
-		if cand != nil {
-			stats.Mode = ExecPrunedScan
-		}
-		stats.DocsTotal = runStats.DocsTotal
-		stats.DocsScanned = runStats.DocsScanned
-		stats.DocsPruned = runStats.DocsPruned
-	}
-
-	if fnErr != nil {
-		if errors.Is(fnErr, store.ErrStopScan) {
-			return nil
-		}
-		return fnErr
-	}
-	if workerErr != nil {
-		return workerErr
-	}
-	if feedErr != nil && !errors.Is(feedErr, context.Canceled) {
-		return feedErr
-	}
-	// The scan may have finished before an external cancellation was
-	// observed; the deferred cancel has not run yet, so a non-nil error
-	// here can only come from the caller's context — or from the
-	// worker-failure cancel already reported above.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return feedErr
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
@@ -155,6 +156,45 @@ func TestEngineForEachStopScan(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ids, []string{"doc-0001", "doc-0002", "doc-0003"}) {
 		t.Errorf("early-stopped stream = %v", ids)
+	}
+}
+
+// fetchCounter counts the documents a store has handed out through
+// GetBatch.
+type fetchCounter struct {
+	store.DocStore
+	fetched atomic.Int64
+}
+
+func (f *fetchCounter) GetBatch(ctx context.Context, ids []string) ([]*staccato.Doc, error) {
+	f.fetched.Add(int64(len(ids)))
+	return f.DocStore.GetBatch(ctx, ids)
+}
+
+// TestEngineForEachBoundedWindow: ForEach fetches and evaluates one
+// window of batches at a time, so when the first result reaches fn only
+// that window has been read — what a stream holds is bounded by the
+// window, not the corpus.
+func TestEngineForEachBoundedWindow(t *testing.T) {
+	st := &fetchCounter{DocStore: corpusStore(t, 600, 12, 3, 2, 2)}
+	q := sub(t, "a")
+	eng := query.NewEngine(st, query.EngineOptions{Workers: 1})
+	var atFirst int64 = -1
+	n := 0
+	if err := eng.ForEach(context.Background(), q, func(query.Result) error {
+		if n == 0 {
+			atFirst = st.fetched.Load()
+		}
+		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 600 || st.fetched.Load() != 600 {
+		t.Fatalf("streamed %d results after fetching %d docs, want 600 of each", n, st.fetched.Load())
+	}
+	if atFirst <= 0 || atFirst >= 600 {
+		t.Fatalf("%d docs fetched before the first result, want one window (fewer than the 600-doc corpus)", atFirst)
 	}
 }
 

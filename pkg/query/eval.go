@@ -45,9 +45,9 @@ func evalDoc(d *staccato.Doc, a automaton) float64 {
 			for _, alt := range ch.Alts {
 				q2, hit := runString(a, q, alt.Text)
 				if hit {
-					matched += p * alt.Prob
+					matched += float64(p * alt.Prob) // explicit rounding: no fused multiply-add, same bits on every GOARCH
 				} else {
-					next[q2] += p * alt.Prob
+					next[q2] += float64(p * alt.Prob)
 				}
 			}
 		}
@@ -93,7 +93,7 @@ func (q *Query) evalProduct(d *staccato.Doc) float64 {
 			for _, alt := range ch.Alts {
 				decodeStates(key, states)
 				q.advanceString(states, alt.Text)
-				next[encodeStates(states)] += p * alt.Prob
+				next[encodeStates(states)] += float64(p * alt.Prob) // explicit rounding: no fused multiply-add
 			}
 		}
 		cur = next

@@ -69,7 +69,7 @@ func (q *Query) EvalFST(f *fst.SFST) (float64, error) {
 					m = make(map[string]float64)
 					mass[arc.To] = m
 				}
-				m[k2] += pq * p
+				m[k2] += float64(pq * p) // explicit rounding: no fused multiply-add
 			}
 		}
 		mass[s] = nil // fully propagated; release early

@@ -170,8 +170,9 @@ func TestFuzzyPlanNoFalseNegative(t *testing.T) {
 }
 
 // TestFuzzySearchByteIdenticalAcrossModes runs one fuzzy boolean query
-// through all three engine paths at several worker counts and demands
-// byte-identical rankings.
+// through every engine path — scan, Search handed the candidate set, and
+// SearchCandidates single-pass and top-k — at several worker counts and
+// demands byte-identical rankings.
 func TestFuzzySearchByteIdenticalAcrossModes(t *testing.T) {
 	ctx := context.Background()
 	st, ix, truths := candidateCorpus(t, 40, 97)
@@ -207,7 +208,7 @@ func TestFuzzySearchByteIdenticalAcrossModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prunedScan, err := eng.Search(ctx, q, query.SearchOptions{Candidates: cand})
+		restricted, err := eng.Search(ctx, q, query.SearchOptions{Candidates: cand})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,19 +216,26 @@ func TestFuzzySearchByteIdenticalAcrossModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		topK, err := eng.SearchCandidates(ctx, q, cand, query.SearchOptions{TopN: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if baseline == nil {
 			baseline = scan
 		}
-		for name, got := range map[string][]query.Result{"scan": scan, "pruned-scan": prunedScan, "candidate-only": candOnly} {
+		for name, got := range map[string][]query.Result{"scan": scan, "restricted": restricted, "candidate-only": candOnly} {
 			if !reflect.DeepEqual(got, baseline) {
 				t.Errorf("workers=%d %s: results diverge from baseline", workers, name)
 			}
+		}
+		if want := baseline[:min(2, len(baseline))]; !reflect.DeepEqual(topK, want) {
+			t.Errorf("workers=%d top-k: results diverge from baseline's top 2\n got:  %+v\n want: %+v", workers, topK, want)
 		}
 	}
 }
 
 // TestFuzzyRescoreDeterministicAcrossModes: with a lexicon rescorer in
-// SearchOptions, all three execution paths still agree bit-for-bit.
+// SearchOptions, every execution path still agrees bit-for-bit.
 func TestFuzzyRescoreDeterministicAcrossModes(t *testing.T) {
 	ctx := context.Background()
 	st, ix, truths := candidateCorpus(t, 30, 59)
@@ -246,7 +254,7 @@ func TestFuzzyRescoreDeterministicAcrossModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prunedScan, err := eng.Search(ctx, q, query.SearchOptions{Candidates: cand, Rescore: rescore})
+		restricted, err := eng.Search(ctx, q, query.SearchOptions{Candidates: cand, Rescore: rescore})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +265,7 @@ func TestFuzzyRescoreDeterministicAcrossModes(t *testing.T) {
 		if baseline == nil {
 			baseline = scan
 		}
-		for name, got := range map[string][]query.Result{"scan": scan, "pruned-scan": prunedScan, "candidate-only": candOnly} {
+		for name, got := range map[string][]query.Result{"scan": scan, "restricted": restricted, "candidate-only": candOnly} {
 			if !reflect.DeepEqual(got, baseline) {
 				t.Errorf("workers=%d %s: rescored results diverge from baseline", workers, name)
 			}

@@ -233,7 +233,8 @@ func TestPlannerNoFalseNegatives(t *testing.T) {
 // TestEngineSearchByteIdenticalWithCandidates runs the same query with
 // and without planner candidates and requires identical Search output —
 // the engine half of the byte-identical acceptance criterion — plus
-// coherent stats.
+// coherent stats: an unrestricted run scans the whole corpus, a
+// restricted one evaluates exactly the candidates.
 func TestEngineSearchByteIdenticalWithCandidates(t *testing.T) {
 	const gramSize = 3
 	ctx := context.Background()
@@ -270,13 +271,17 @@ func TestEngineSearchByteIdenticalWithCandidates(t *testing.T) {
 			t.Fatalf("trial %d: query %s: results differ\n with: %+v\n without: %+v",
 				trial, q.String(), withIdx, without)
 		}
-		if stats.DocsTotal != len(cases) || stats.DocsScanned+stats.DocsPruned != stats.DocsTotal {
-			t.Fatalf("trial %d: incoherent stats %+v", trial, stats)
+		if cand == nil {
+			if stats.Mode != query.ExecScan || stats.DocsTotal != len(cases) || stats.DocsScanned != len(cases) {
+				t.Fatalf("trial %d: incoherent scan stats %+v", trial, stats)
+			}
+			continue
 		}
-		if cand != nil && stats.DocsPruned != len(cases)-cand.Len() {
-			t.Fatalf("trial %d: pruned %d, want %d", trial, stats.DocsPruned, len(cases)-cand.Len())
+		if stats.Mode != query.ExecCandidateOnly || stats.DocsScanned != cand.Len() || stats.CandidatesFetched != cand.Len() {
+			t.Fatalf("trial %d: restricted run evaluated %d (fetched %d) of %d candidates; stats %+v",
+				trial, stats.DocsScanned, stats.CandidatesFetched, cand.Len(), stats)
 		}
-		if stats.DocsPruned > 0 {
+		if stats.DocsScanned < len(cases) {
 			prunedRuns++
 		}
 	}
@@ -311,7 +316,7 @@ func TestForEachPrunedStreamsZeroForPruned(t *testing.T) {
 	}
 	eng := query.NewEngine(st, query.EngineOptions{Workers: 3})
 	var got []query.Result
-	err = eng.ForEachPruned(ctx, q, cand, nil, func(r query.Result) error {
+	err = eng.ForEachPruned(ctx, q, cand, func(r query.Result) error {
 		got = append(got, r)
 		return nil
 	})

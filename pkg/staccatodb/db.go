@@ -28,14 +28,14 @@
 //
 // Search and ForEach extract a Plan from the compiled query and turn the
 // index's posting lists into a candidate document set. When the plan can
-// prune, Search runs candidate-only: the engine fetches exactly the
-// candidates by (batched) point lookup and never touches the rest of the
+// prune, Search runs restricted: the engine fetches exactly the
+// candidates by batched point lookup and never touches the rest of the
 // corpus, so a selective query costs O(candidates), not O(corpus).
-// ForEach keeps its every-document streaming contract and instead runs a
-// pruned scan, reporting non-candidates at probability zero without
-// reading them. The planner is conservative (AND intersects, OR unions,
-// NOT and sub-gram terms scan), so results are byte-identical across
-// every mode and with the index enabled, disabled, or absent;
+// ForEach keeps its every-document streaming contract: it walks the
+// store's ID listing and reports non-candidates at probability zero
+// without reading them. The planner is conservative (AND intersects, OR
+// unions, NOT and sub-gram terms scan), so results are byte-identical
+// across every mode and with the index enabled, disabled, or absent;
 // SearchStats reports the mode taken and how much was pruned so the
 // speedup is observable.
 package staccatodb
@@ -395,10 +395,9 @@ func (db *DB) Get(ctx context.Context, id string) (*staccato.Doc, error) {
 // Search executes candidate-restricted: only the candidates are fetched
 // and evaluated, so a selective query's cost scales with its candidate
 // count, not the corpus size. With opts.TopN > 0 and no rescorer, the
-// restricted run takes the bound-driven top-k path
-// (query.Engine.SearchTopK, query.ExecTopK): candidates are processed
-// best-bound-first and the run stops once the running k-th probability
-// beats every remaining bound. A rescorer invalidates the stored bounds
+// restricted run takes the bound-driven top-k path (query.ExecTopK):
+// candidates are processed best-bound-first and the run stops once the
+// running k-th probability beats every remaining bound. A rescorer invalidates the stored bounds
 // (it moves probability mass the index never saw), so rescored searches
 // stay on query.ExecCandidateOnly. Without a candidate set Search falls
 // back to the full scan. Results are byte-identical across every mode
@@ -411,21 +410,11 @@ func (db *DB) Search(ctx context.Context, q *query.Query, opts query.SearchOptio
 		return nil, stats, ErrClosed
 	}
 	cand := db.planCandidates(q, &stats)
-	opts.Candidates = nil
+	opts.Candidates = cand
 	opts.Stats = &stats
-	if cand == nil {
-		res, err := db.eng.Search(ctx, q, opts)
+	res, err := db.eng.Search(ctx, q, opts)
+	if err != nil || cand == nil {
 		return res, stats, err
-	}
-	var res []query.Result
-	var err error
-	if opts.TopN > 0 && opts.Rescore == nil {
-		res, err = db.eng.SearchTopK(ctx, q, cand, opts)
-	} else {
-		res, err = db.eng.SearchCandidates(ctx, q, cand, opts)
-	}
-	if err != nil {
-		return nil, stats, err
 	}
 	// The engine never observed the corpus — that is the mode's point —
 	// so the corpus-level counters derive from the store's live count and
@@ -451,9 +440,9 @@ func (db *DB) Search(ctx context.Context, q *query.Query, opts query.SearchOptio
 // retrieval-chunk input a RAG pipeline consumes. The slice is ordered
 // exactly like Search's ranking, and because extraction is a
 // deterministic function of each matching document, the output is
-// byte-identical across execution modes (scan, pruned-scan,
-// candidate-only) and worker counts, just like Search itself. A document
-// deleted between the search and the snippet fetch is skipped, matching
+// byte-identical across execution modes (scan, candidate-only, top-k)
+// and worker counts, just like Search itself. A document deleted
+// between the search and the snippet fetch is skipped, matching
 // what a search started after the delete would report. When opts.Rescore
 // is set, the same transform the search ranked under is applied to each
 // fetched document before extraction, so reported reading probabilities
@@ -502,7 +491,7 @@ func (db *DB) ForEach(ctx context.Context, q *query.Query, fn func(query.Result)
 	if db.isClosed() {
 		return ErrClosed
 	}
-	return db.eng.ForEachPruned(ctx, q, db.planCandidates(q, nil), nil, fn)
+	return db.eng.ForEachPruned(ctx, q, db.planCandidates(q, nil), fn)
 }
 
 // planCandidates extracts q's plan, evaluates it against the index, and

@@ -109,4 +109,4 @@ func TestGetBatchClosed(t *testing.T) {
 	}
 }
 
-var _ store.BatchGetter = (*diskstore.Store)(nil)
+var _ store.DocStore = (*diskstore.Store)(nil)

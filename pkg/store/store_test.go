@@ -159,74 +159,6 @@ func TestMemStoreScanOrderAndStop(t *testing.T) {
 	}
 }
 
-// visitCounter wraps a DocStore and counts how many documents a Scan
-// actually visits, so tests can prove early termination reached the
-// backend rather than being filtered by the caller.
-type visitCounter struct {
-	store.DocStore
-	visits int
-}
-
-func (v *visitCounter) Scan(ctx context.Context, fn func(*staccato.Doc) error) error {
-	return v.DocStore.Scan(ctx, func(d *staccato.Doc) error {
-		v.visits++
-		return fn(d)
-	})
-}
-
-func TestCountAndListIDs(t *testing.T) {
-	ctx := context.Background()
-	st := store.NewMemStore()
-
-	n, err := store.Count(ctx, st)
-	if err != nil || n != 0 {
-		t.Fatalf("Count(empty) = %d, %v", n, err)
-	}
-	ids, err := store.ListIDs(ctx, st, 0)
-	if err != nil || len(ids) != 0 {
-		t.Fatalf("ListIDs(empty) = %v, %v", ids, err)
-	}
-
-	for i, id := range []string{"c", "a", "b", "d"} {
-		if err := st.Put(ctx, sampleDoc(t, id, int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n, err = store.Count(ctx, st); err != nil || n != 4 {
-		t.Errorf("Count = %d, %v, want 4", n, err)
-	}
-	if ids, err = store.ListIDs(ctx, st, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ids, []string{"a", "b", "c", "d"}) {
-		t.Errorf("ListIDs = %v, want ascending IDs", ids)
-	}
-}
-
-// TestListIDsStopsScanEarly is the ErrStopScan early-termination test:
-// a limited listing must end the MemStore scan at the limit instead of
-// visiting (and decoding) every document.
-func TestListIDsStopsScanEarly(t *testing.T) {
-	ctx := context.Background()
-	st := store.NewMemStore()
-	for i, id := range []string{"a", "b", "c", "d", "e"} {
-		if err := st.Put(ctx, sampleDoc(t, id, int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	counted := &visitCounter{DocStore: st}
-	ids, err := store.ListIDs(ctx, counted, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ids, []string{"a", "b"}) {
-		t.Errorf("ListIDs(limit=2) = %v, want [a b]", ids)
-	}
-	if counted.visits != 2 {
-		t.Errorf("scan visited %d documents, want 2 (ErrStopScan must terminate the scan)", counted.visits)
-	}
-}
-
 func TestMemStoreContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -239,7 +171,7 @@ func TestMemStoreContextCancelled(t *testing.T) {
 	}
 }
 
-// TestMemStoreListDocIDs covers the IDLister capability on the
+// TestMemStoreListDocIDs covers ListDocIDs on the
 // reference backend: ascending order, no decode, deletes reflected.
 func TestMemStoreListDocIDs(t *testing.T) {
 	ctx := context.Background()
@@ -252,8 +184,7 @@ func TestMemStoreListDocIDs(t *testing.T) {
 	if err := m.Delete(ctx, "a"); err != nil {
 		t.Fatal(err)
 	}
-	var lister store.IDLister = m
-	ids, err := lister.ListDocIDs(ctx)
+	ids, err := m.ListDocIDs(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
