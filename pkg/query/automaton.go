@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"unicode/utf8"
 
 	"github.com/paper-repo/staccato-go/internal/core"
 	"github.com/paper-repo/staccato-go/pkg/fuzzy"
@@ -20,9 +21,37 @@ type automaton interface {
 }
 
 // maxTermRunes bounds compiled terms so automaton states (plus the
-// product DP's matched sentinel) always fit the uint16 joint-state
-// encoding, with generous headroom for any realistic query.
+// matched sentinel) always fit the uint16 states of the evaluation DPs,
+// with generous headroom for any realistic query.
 const maxTermRunes = 1 << 12
+
+// MaxTableBytes bounds the ASCII transition tables of one Query, summed
+// over its distinct leaves (Query.TableBytes). Every single leaf fits:
+// a keyword term of maxTermRunes runes needs 1 MiB and the largest fuzzy
+// DFA (under 1<<14 states) 4 MiB. Front ends that compile untrusted
+// requests reject queries above it, which also caps the automaton
+// states, and so the memory, a cached compiled query can hold.
+const MaxTableBytes = 4 << 20
+
+// asciiTable tabulates a's transitions on the 128 ASCII bytes for every
+// state: entry q<<7|b is the next state, or the matched sentinel
+// numStates when byte b completes a match from q. Evaluation steps ASCII
+// text through the table instead of calling step, which keeps the
+// per-byte cost to one load.
+func asciiTable(a automaton) []uint16 {
+	if k, ok := a.(*kmpAuto); ok {
+		return k.asciiTable()
+	}
+	t := make([]uint16, a.numStates()<<7)
+	for i := range t {
+		q2, hit := a.step(i>>7, rune(i&0x7f))
+		if hit {
+			q2 = a.numStates()
+		}
+		t[i] = uint16(q2)
+	}
+	return t
+}
 
 func compile(term string, mode Mode, dist int) (automaton, error) {
 	pat := []rune(term)
@@ -109,6 +138,26 @@ func (a *kmpAuto) step(q int, r rune) (int, bool) {
 }
 
 func (a *kmpAuto) acceptAtEnd(int) bool { return false }
+
+// asciiTable builds the KMP transition table in O(m·128) rather than by
+// calling step per entry, which walks the failure chain and is quadratic
+// for a repetitive pattern. A mismatch from state q behaves as a
+// mismatch from fail[q-1], so row q copies that (already built) row and
+// overrides the entry for pat[q]; row 0 stays all zero. Entry q+1 = m on
+// the last row is the matched sentinel.
+func (a *kmpAuto) asciiTable() []uint16 {
+	t := make([]uint16, len(a.pat)<<7)
+	for q, r := range a.pat {
+		row := t[q<<7 : (q+1)<<7]
+		if q > 0 {
+			copy(row, t[a.fail[q-1]<<7:])
+		}
+		if r < utf8.RuneSelf {
+			row[r] = uint16(q + 1)
+		}
+	}
+	return t
+}
 
 // keywordAuto matches a term delimited by non-word characters (token
 // boundaries). Because the term itself is all word runes, a failed partial

@@ -3,6 +3,7 @@ package query_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
@@ -66,6 +67,62 @@ func BenchmarkBooleanEval(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.Eval(d)
+	}
+}
+
+// BenchmarkEval times Eval per leaf kind, and one two-leaf product, on
+// an ASCII document and on the same document with its vowels accented.
+// Accented vowels are two-byte runes, so the second document sends a
+// large share of its bytes down the rune fallback instead of the ASCII
+// transition table; its terms are accented the same way.
+func BenchmarkEval(b *testing.B) {
+	ascii := benchDoc(b)
+	accent := strings.NewReplacer("a", "á", "e", "é", "i", "í", "o", "ó", "u", "ú").Replace
+	accented := &staccato.Doc{ID: ascii.ID, Params: ascii.Params}
+	for _, ch := range ascii.Chunks {
+		ps := staccato.PathSet{Retained: ch.Retained}
+		for _, alt := range ch.Alts {
+			ps.Alts = append(ps.Alts, staccato.Alt{Text: accent(alt.Text), Prob: alt.Prob})
+		}
+		accented.Chunks = append(accented.Chunks, ps)
+	}
+	for _, dc := range []struct {
+		name string
+		doc  *staccato.Doc
+		term func(string) string
+	}{
+		{"ascii", ascii, func(s string) string { return s }},
+		{"nonascii", accented, accent},
+	} {
+		leaves := []struct {
+			name    string
+			compile func() (*query.Query, error)
+		}{
+			{"substr", func() (*query.Query, error) { return query.Substring(dc.term("ing")) }},
+			{"keyword", func() (*query.Query, error) { return query.Keyword(dc.term("the")) }},
+			{"fuzzy1", func() (*query.Query, error) { return query.Fuzzy(dc.term("probable"), 1) }},
+			{"fuzzy2", func() (*query.Query, error) { return query.Fuzzy(dc.term("probable"), 2) }},
+			{"and2", func() (*query.Query, error) {
+				a, err := query.Substring(dc.term("the"))
+				if err != nil {
+					return nil, err
+				}
+				c, err := query.Keyword(dc.term("ion"))
+				return query.And(a, query.Not(c)), err
+			}},
+		}
+		for _, lc := range leaves {
+			q, err := lc.compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(dc.name+"/"+lc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					q.Eval(dc.doc)
+				}
+			})
+		}
 	}
 }
 

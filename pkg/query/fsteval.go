@@ -22,57 +22,44 @@ func (q *Query) EvalFST(f *fst.SFST) (float64, error) {
 	if q.expr == nil {
 		return 0, fmt.Errorf("query: EvalFST requires a compiled Query")
 	}
-	n := f.NumStates()
-	states := make([]uint16, len(q.leaves))
-	for i, lf := range q.leaves {
-		states[i] = uint16(lf.auto.start())
-	}
-	// mass[s] maps joint automaton states to probability mass arriving at
-	// fst state s. States are visited in topological order (the Build
-	// normalization), so each state's mass is complete before it is read.
-	mass := make([]map[string]float64, n)
-	mass[f.Start()] = map[string]float64{encodeStates(states): 1}
+	// mass[s] lists the (joint automaton state, probability) contributions
+	// arriving at fst state s. States are visited in topological order (the
+	// Build normalization), so each state's list is complete before it is
+	// collapsed and read.
+	mass := make([]jointDP, f.NumStates())
+	mass[f.Start()] = q.startDP()
 
-	bits := make([]bool, len(q.leaves))
+	hits := make([]bool, len(q.leaves))
 	var matched, total float64
-	for s := 0; s < n; s++ {
-		cur := mass[s]
-		if cur == nil {
+	for s := range mass {
+		cur := &mass[s]
+		if len(cur.entries) == 0 {
 			continue
 		}
-		// Sorted key order fixes float accumulation order, so the result
-		// is bit-identical across runs (Go map iteration is randomized).
-		keys := sortedKeys(cur)
+		// Collapsing sorts by key and sums in arrival order, which fixes
+		// the float accumulation order: the result is bit-identical
+		// across runs.
+		cur.collapse()
 		if f.IsFinal(fst.StateID(s)) {
-			for _, key := range keys {
-				p := cur[key]
-				decodeStates(key, states)
-				q.endBits(states, bits)
-				total += p
-				if q.expr.eval(bits) {
-					matched += p
+			for _, e := range cur.entries {
+				q.endBits(e.key, hits)
+				total += e.p
+				if q.expr.eval(hits) {
+					matched += e.p
 				}
 			}
 		}
 		for _, arc := range f.Arcs(fst.StateID(s)) {
 			p := core.ProbFromWeight(arc.Weight)
-			for _, key := range keys {
-				pq := cur[key]
-				k2 := key
+			to := &mass[arc.To]
+			for _, e := range cur.entries {
+				key := to.push(e.key, float64(e.p*p)) // explicit rounding: no fused multiply-add
 				if arc.Label != fst.Epsilon {
-					decodeStates(key, states)
-					q.advanceRune(states, arc.Label)
-					k2 = encodeStates(states)
+					q.advanceRune(key, arc.Label)
 				}
-				m := mass[arc.To]
-				if m == nil {
-					m = make(map[string]float64)
-					mass[arc.To] = m
-				}
-				m[k2] += float64(pq * p) // explicit rounding: no fused multiply-add
 			}
 		}
-		mass[s] = nil // fully propagated; release early
+		*cur = jointDP{} // fully propagated; release early
 	}
 	//lint:allow floateq exact zero means no accepting path contributed any mass at all; an epsilon test would misreport tiny-but-real mass as an error
 	if total == 0 {

@@ -75,6 +75,13 @@ type leaf struct {
 	mode Mode
 	dist int
 	auto automaton
+	// matched is the absorbing sentinel state a leaf enters once its term
+	// has matched: auto.numStates(), one past every automaton state.
+	matched uint16
+	// ascii is auto's transition table on ASCII bytes, built once at
+	// compile: ascii[q<<7|b] is the state after byte b from state q, or
+	// matched when that byte completes a match.
+	ascii []uint16
 }
 
 // Substring compiles a query matching documents whose text contains term
@@ -103,10 +110,8 @@ func newTerm(term string, mode Mode, dist int) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{
-		leaves: []leaf{{term: term, mode: mode, dist: dist, auto: a}},
-		expr:   leafExpr(0),
-	}, nil
+	lf := leaf{term: term, mode: mode, dist: dist, auto: a, matched: uint16(a.numStates()), ascii: asciiTable(a)}
+	return &Query{leaves: []leaf{lf}, expr: leafExpr(0)}, nil
 }
 
 // And returns the conjunction of the given queries: the document must
@@ -209,6 +214,17 @@ func (q *Query) String() string {
 // NumTerms returns the number of distinct compiled term automata the query
 // tracks during evaluation.
 func (q *Query) NumTerms() int { return len(q.leaves) }
+
+// TableBytes returns the bytes of ASCII transition table q's distinct
+// leaves hold: two per (automaton state, ASCII byte) pair. Compare it
+// with MaxTableBytes to bound what a compiled query keeps in memory.
+func (q *Query) TableBytes() int {
+	n := 0
+	for _, lf := range q.leaves {
+		n += 2 * len(lf.ascii)
+	}
+	return n
+}
 
 // expr is a boolean formula over leaf indices. Nodes are immutable and may
 // be shared freely between Queries.

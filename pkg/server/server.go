@@ -400,10 +400,22 @@ func (q *queryRequest) compile() (*query.Query, error) {
 	if q.Distance != 0 && q.Mode != "fuzzy" {
 		return nil, fmt.Errorf("distance %d is only valid with mode fuzzy", q.Distance)
 	}
+	// Tables are summed per term as written, so the budget caps what is
+	// built before a rejection as well as what the cache keeps.
+	tableBytes := 0
+	budget := func(leaf *query.Query) error {
+		if tableBytes += leaf.TableBytes(); tableBytes > query.MaxTableBytes {
+			return fmt.Errorf("query terms need more than %d bytes of automaton tables; use fewer or shorter terms", query.MaxTableBytes)
+		}
+		return nil
+	}
 	leaves := make([]*query.Query, len(q.Terms))
 	for i, term := range q.Terms {
 		leaf, err := leafFor(term)
 		if err != nil {
+			return nil, err
+		}
+		if err := budget(leaf); err != nil {
 			return nil, err
 		}
 		leaves[i] = leaf
@@ -420,6 +432,9 @@ func (q *queryRequest) compile() (*query.Query, error) {
 	if q.Not != "" {
 		neg, err := leafFor(q.Not)
 		if err != nil {
+			return nil, err
+		}
+		if err := budget(neg); err != nil {
 			return nil, err
 		}
 		out = query.And(out, query.Not(neg))

@@ -16,6 +16,7 @@ import (
 
 	"github.com/paper-repo/staccato-go/internal/testgen"
 	"github.com/paper-repo/staccato-go/pkg/fuzzy"
+	"github.com/paper-repo/staccato-go/pkg/query"
 	"github.com/paper-repo/staccato-go/pkg/staccato"
 	"github.com/paper-repo/staccato-go/pkg/staccatodb"
 )
@@ -729,6 +730,42 @@ func TestCacheKeyCoversQueryDefiningFields(t *testing.T) {
 	b := queryRequest{Terms: []string{"y"}, Not: "x"}
 	if a.cacheKey() == b.cacheKey() {
 		t.Error("swapped term/not values share a cache key")
+	}
+}
+
+// TestSearchRejectsOversizedTables pins the compile budget: terms whose
+// ASCII transition tables together exceed query.MaxTableBytes are a 400
+// and are not cached, while a query exactly at the budget is served.
+func TestSearchRejectsOversizedTables(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	client := ts.Client()
+	postJSON(t, client, ts.URL+"/v1/ingest", ingestRequest{Docs: testDocs(t, 5)})
+
+	// A substring term of n runes holds n·128 two-byte entries.
+	long := func(c string) string { return strings.Repeat("a", 4095) + c }
+	per := 4096 * 128 * 2
+	if query.MaxTableBytes%per != 0 {
+		t.Fatalf("MaxTableBytes %d is not a whole number of %d-byte terms", query.MaxTableBytes, per)
+	}
+	var terms []string
+	for i := 0; i < query.MaxTableBytes/per; i++ {
+		terms = append(terms, long(string(rune('b'+i))))
+	}
+	if status, body := postJSON(t, client, ts.URL+"/v1/search", queryRequest{Terms: terms, Combine: "or"}); status != http.StatusOK {
+		t.Fatalf("query at the table budget: status %d, body %s", status, body)
+	}
+	before := s.cache.len()
+	for name, req := range map[string]queryRequest{
+		"terms": {Terms: append(terms, long("z")), Combine: "or"},
+		"not":   {Terms: terms, Combine: "or", Not: long("z")},
+	} {
+		status, body := postJSON(t, client, ts.URL+"/v1/search", req)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), "automaton tables") {
+			t.Errorf("%s over the table budget: status %d, body %s; want 400 naming the budget", name, status, body)
+		}
+	}
+	if got := s.cache.len(); got != before {
+		t.Errorf("cache grew from %d to %d entries on rejected queries", before, got)
 	}
 }
 

@@ -46,7 +46,18 @@ func Encode(doc *staccato.Doc) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode deserializes a document previously produced by Encode.
+// minAltBytes is the fewest bytes one encoded alternative occupies: a
+// one-byte length varint and the 8-byte probability. An encoded chunk
+// needs at least as many (its retained float and alt count), so no count
+// can exceed the remaining bytes divided by it.
+const minAltBytes = 9
+
+// Decode deserializes a document previously produced by Encode. The
+// payload after the ID is copied into one string that every alternative's
+// text is sliced from, and each chunk's alternatives are allocated at
+// their final size, so a document costs four allocations plus one per
+// chunk. The ID is copied on its own: search results keep IDs long after
+// the document is dropped, and a sliced ID would pin the whole payload.
 func Decode(data []byte) (*staccato.Doc, error) {
 	d := decoder{buf: data}
 	var magic [4]byte
@@ -58,24 +69,30 @@ func Decode(data []byte) (*staccato.Doc, error) {
 		return nil, fmt.Errorf("store: Decode: unsupported version %d", v)
 	}
 	doc := &staccato.Doc{}
-	doc.ID = d.string()
+	doc.ID = string(d.bytes(int(d.length())))
+	d.src = string(d.buf)
 	doc.Params.Chunks = int(d.uvarint())
 	doc.Params.K = int(d.uvarint())
 	numChunks := d.uvarint()
-	if d.err == nil && numChunks > uint64(len(data)) {
+	if d.err == nil && numChunks > uint64(len(d.buf)/minAltBytes) {
 		return nil, fmt.Errorf("store: Decode: implausible chunk count %d", numChunks)
 	}
-	for i := uint64(0); i < numChunks && d.err == nil; i++ {
-		var ch staccato.PathSet
+	if d.err == nil && numChunks > 0 {
+		doc.Chunks = make([]staccato.PathSet, numChunks)
+	}
+	for i := 0; i < len(doc.Chunks) && d.err == nil; i++ {
+		ch := &doc.Chunks[i]
 		ch.Retained = d.float()
 		numAlts := d.uvarint()
-		if d.err == nil && numAlts > uint64(len(data)) {
+		if d.err == nil && numAlts > uint64(len(d.buf)/minAltBytes) {
 			return nil, fmt.Errorf("store: Decode: implausible alt count %d", numAlts)
 		}
-		for j := uint64(0); j < numAlts && d.err == nil; j++ {
-			ch.Alts = append(ch.Alts, staccato.Alt{Text: d.string(), Prob: d.float()})
+		if d.err == nil && numAlts > 0 {
+			ch.Alts = make([]staccato.Alt, numAlts)
 		}
-		doc.Chunks = append(doc.Chunks, ch)
+		for j := 0; j < len(ch.Alts) && d.err == nil; j++ {
+			ch.Alts[j] = staccato.Alt{Text: d.string(), Prob: d.float()}
+		}
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -96,9 +113,12 @@ func appendFloat(buf []byte, f float64) []byte {
 }
 
 // decoder consumes a byte slice with a latched error, so the happy path
-// reads linearly without per-field error checks.
+// reads linearly without per-field error checks. Once set, src holds a
+// copy of the bytes buf had left, and buf stays a suffix of it, so string
+// reads slice src instead of copying.
 type decoder struct {
 	buf []byte
+	src string
 	err error
 }
 
@@ -133,13 +153,22 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) string() string {
+// length reads a string's length prefix, failing when fewer bytes remain.
+func (d *decoder) length() uint64 {
 	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.buf)) {
+	if d.err != nil || n > uint64(len(d.buf)) {
 		d.fail()
-		return ""
+		return 0
 	}
-	return string(d.bytes(int(n)))
+	return n
+}
+
+// string reads a length-prefixed string as a slice of src.
+func (d *decoder) string() string {
+	n := d.length()
+	off := len(d.src) - len(d.buf)
+	d.buf = d.buf[n:]
+	return d.src[off : off+int(n)]
 }
 
 func (d *decoder) float() float64 {
